@@ -7,12 +7,12 @@
      forced one-work-item region sweep (wg-loop) vs the forced fiber
      scheduler on the barrier-carrying with_lm version, and
    - a domain-scaling sweep — (1, 2, 4, 0=auto) requested domains x
-     (wg-vec on with_lm; fiberless and forced fibers on the barrier-free
-     Grover-transformed version) — exercising the persistent domain pool
-     and the chunked group scheduler.
+     (wg-vec on with_lm; the default plan and forced fibers on the
+     barrier-free Grover-transformed version) — exercising the persistent
+     domain pool and the chunked group scheduler.
 
    Every row records which execution path ran (wg-vec / wg-loop /
-   fiberless / fiber), the lane width (1 for every non-batched path) and
+   fiber), the lane width (1 for every non-batched path) and
    how many pool domains were actually used, so the numbers feeding
    tuning decisions are auditable. The run *fails* if no with_lm row
    actually took the wg-vec path, or none the wg-loop path — the bench
@@ -54,7 +54,7 @@ type row = {
   engine : Interp.engine;
   domains : int;  (** requested (0 = auto) *)
   path : string;
-      (** execution path actually taken: wg-vec / wg-loop / fiberless / fiber *)
+      (** execution path actually taken: wg-vec / wg-loop / fiber *)
   lane_width : int;  (** work-items per lane batch; 1 on non-batched paths *)
   pool_domains : int;  (** domains actually used, incl. the caller *)
   clamped : bool;
@@ -515,8 +515,8 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
         () ]
   in
   (* The scaling sweep: wg-vec on the with_lm version, then the
-     Grover-transformed (barrier-free) version fiberless vs forced
-     fibers, across requested domain counts. *)
+     Grover-transformed (barrier-free) version on its default plan vs
+     forced fibers, across requested domain counts. *)
   let sweep_rows =
     List.concat_map
       (fun (version, force_fibers) ->
@@ -573,9 +573,11 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
     (find v Interp.Compiled 1).wi_per_sec /. (find v Interp.Tree 1).wi_per_sec
   in
   let sp_with = speedup H.With_lm and sp_without = speedup H.Without_lm in
-  let fiberless_1 = find ~path:"fiberless" H.Without_lm Interp.Compiled 1 in
+  (* The without_lm default-plan row (first match: the engine rows come
+     before the forced-fiber sweep). *)
+  let without_1 = find H.Without_lm Interp.Compiled 1 in
   let fiber_1 = find ~path:"fiber" H.Without_lm Interp.Compiled 1 in
-  let sp_fiberless = fiberless_1.wi_per_sec /. fiber_1.wi_per_sec in
+  let sp_without_fiber = without_1.wi_per_sec /. fiber_1.wi_per_sec in
   let wgvec_1 = find ~path:"wg-vec" H.With_lm Interp.Compiled 1 in
   let wgloop_1 = find ~path:"wg-loop" H.With_lm Interp.Compiled 1 in
   let wl_fiber_1 = find ~path:"fiber" H.With_lm Interp.Compiled 1 in
@@ -600,11 +602,11 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
     "\nspeedup compiled/tree: with_lm %.2fx, without_lm %.2fx\n\
      wg-vec (%d lanes) vs forced wg-loop (with_lm, 1 domain): %.2fx\n\
      wg-loop vs forced fibers (with_lm, 1 domain): %.2fx\n\
-     fiberless fast path vs forced fibers (without_lm, 1 domain): %.2fx\n\
+     default plan (%s) vs forced fibers (without_lm, 1 domain): %.2fx\n\
      sanitizer overhead (plain / sanitized wi/sec): with_lm %.2fx, \
      without_lm %.2fx\n"
-    sp_with sp_without wgvec_1.lane_width sp_wgvec sp_wgloop sp_fiberless
-    ov_with ov_without;
+    sp_with sp_without wgvec_1.lane_width sp_wgvec sp_wgloop without_1.path
+    sp_without_fiber ov_with ov_without;
   if not quick then begin
   let oc = open_out "BENCH_interp.json" in
   Printf.fprintf oc
@@ -624,7 +626,7 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
     "  ],\n  \"speedup_with_lm\": %.2f,\n  \"speedup_without_lm\": %.2f,\n\
     \  \"speedup_wgvec_over_wgloop\": %.2f,\n\
     \  \"speedup_wgloop_over_fiber\": %.2f,\n\
-    \  \"speedup_fiberless_over_fiber\": %.2f,\n\
+    \  \"speedup_without_lm_over_fiber\": %.2f,\n\
     \  \"sanitizer_overhead_with_lm\": %.2f,\n\
     \  \"sanitizer_overhead_without_lm\": %.2f,\n\
     \  \"masked_regions\": %d,\n\
@@ -642,7 +644,7 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
     \    \"warm_mem_hit_rate\": %.3f,\n\
     \    \"warm_disk_hit_rate\": %.3f\n\
     \  }"
-    sp_with sp_without sp_wgvec sp_wgloop sp_fiberless ov_with ov_without
+    sp_with sp_without sp_wgvec sp_wgloop sp_without_fiber ov_with ov_without
     mk.mk_regions mk.mk_case mk.mk_speedup
     cs.cs_requests cs.cs_distinct cs.cs_cold_seq cs.cs_cold_batch
     cs.cs_warm_mem cs.cs_warm_disk
@@ -701,7 +703,7 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
        runtime exhibited. *)
     let checks =
       [ ("with_lm wg-vec", H.With_lm, false);
-        ("without_lm fiberless", H.Without_lm, false);
+        ("without_lm default", H.Without_lm, false);
         ("without_lm fiber", H.Without_lm, true) ]
     in
     (* The table rows above are measured minutes apart, so a background
@@ -740,7 +742,7 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
           let path =
             if force_fibers then "fiber"
             else if version = H.With_lm then "wg-vec"
-            else "fiberless"
+            else without_1.path
           in
           let auto_row = find ~path version Interp.Compiled 0 in
           (* Three attempts: a genuine regression (the per-launch spawn

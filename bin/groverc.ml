@@ -365,22 +365,24 @@ let transform_cmd =
 
 (* -- report -------------------------------------------------------------------- *)
 
-(* The execution path the compiled engine would pick for [fn] — the same
-   policy as [Runtime.plan] with no overrides. The kernel is compiled (so
-   lane-batchability reflects what the lane compiler actually accepted,
-   not just the static region verdict) but nothing is executed. Returns
-   the path line plus one lane verdict per parallel region: the static
-   {!Regions} classification, narrowed to a scalar-sweep verdict when the
-   lane compiler rejected a segment the static analysis accepted. *)
+(* The execution path the compiled engine would pick for [fn], asked of
+   [Runtime.choose_path] itself (with no launch geometry, so no autotune
+   entry applies; GROVER_FORCE_PATH does, as it would at launch). The
+   kernel is compiled (so lane-batchability reflects what the lane
+   compiler actually accepted, not just the static region verdict) but
+   nothing is executed. Returns the path line plus one lane verdict per
+   parallel region: the static {!Regions} classification, narrowed to a
+   scalar-sweep verdict when the lane compiler rejected a segment the
+   static analysis accepted. *)
 let path_info (fn : Grover_ir.Ssa.func) : string * string list =
+  let module R = Grover_ocl.Runtime in
   let v = Grover_ir.Regions.form fn in
   let c = Grover_ocl.Interp.prepare ~engine:Grover_ocl.Interp.Compiled fn in
+  let p = R.choose_path c ~cfg:None ~force_fibers:false ~force_path:None in
   let path =
-    if not c.Grover_ocl.Interp.has_barrier then "fiberless"
-    else if Grover_ocl.Runtime.wgvec_capable c then
+    if p = R.Wg_vec then
       Printf.sprintf "wg-vec, %d lanes" (Grover_ocl.Interp.lane_width_of c)
-    else if Grover_ocl.Runtime.wg_capable c then "wg-loop"
-    else "fiber"
+    else R.string_of_path p
   in
   let regions =
     match v with
@@ -1669,6 +1671,13 @@ let argv =
     Sys.argv
 
 let () =
+  (* A bad GROVER_FORCE_PATH would otherwise surface mid-run, from
+     whichever launch plans a path first; reject it before any work. *)
+  (match Grover_ocl.Runtime.env_force_path () with
+  | _ -> ()
+  | exception Grover_ocl.Runtime.Launch_error m ->
+      prerr_endline ("groverc: " ^ m);
+      exit 1);
   let info =
     Cmd.info "groverc" ~version:"1.0.0"
       ~doc:"Disable local memory usage in OpenCL kernels (Grover, ICPP 2014)."

@@ -29,13 +29,30 @@ echo "== suite under every forced execution path =="
 # GROVER_FORCE_PATH pins the group scheduler; kernels that cannot take the
 # requested path degrade to the strongest one they can. Executing the whole
 # suite (both kernel versions, outputs validated, sanitizer on) under each
-# mode gates all four schedulers — wg-vec, wg-loop, fiberless, fiber — on
-# every kernel shape we have.
-for mode in wg-vec wg-loop fiberless fiber; do
+# mode gates all three schedulers — wg-vec, wg-loop, fiber — on every
+# kernel shape we have.
+for mode in wg-vec wg-loop fiber; do
   echo "-- GROVER_FORCE_PATH=$mode"
   GROVER_FORCE_PATH=$mode dune exec bin/groverc.exe -- sanitize all --scale 8 \
     > /dev/null
 done
+# The retired fiberless value is now a typo like any other: groverc must
+# reject it up front with exactly one line naming the valid values, and
+# no backtrace.
+if out=$(GROVER_FORCE_PATH=fiberless dune exec bin/groverc.exe -- \
+    sanitize all --scale 8 2>&1); then
+  echo "FAIL: GROVER_FORCE_PATH=fiberless exited 0"; exit 1
+fi
+case "$out" in
+  *"wg-vec"*"wg-loop"*"fiber"*) ;;
+  *) echo "FAIL: GROVER_FORCE_PATH=fiberless error does not name the valid values"
+     echo "$out"; exit 1 ;;
+esac
+if [ "$(printf '%s\n' "$out" | wc -l)" -ne 1 ]; then
+  echo "FAIL: GROVER_FORCE_PATH=fiberless did not fail with a single line"
+  echo "$out"; exit 1
+fi
+echo "-- GROVER_FORCE_PATH=fiberless rejected: $out"
 
 echo "== uniform-branch barrier qualifies for lane-batched execution =="
 # A barrier under *group-uniform* control flow must still take a region
@@ -62,6 +79,24 @@ for f in examples/kernels/transpose_tile.cl examples/kernels/gemm_float4.cl; do
     *) echo "FAIL: $f did not plan as wg-vec"; echo "$out"; exit 1 ;;
   esac
 done
+
+echo "== barrier-free kernels plan down the same ladder =="
+# Grover's output carries no barriers and runs lane-batched like any
+# lane-capable kernel; a barrier-free kernel the lane compiler rejects (a
+# divergent store) falls back to the one-region wg-loop, never to fibers.
+out=$(dune exec bin/groverc.exe -- report examples/kernels/transpose_tile.cl)
+case "$out" in
+  *"execution path (local memory disabled): wg-vec"*)
+     echo "-- transpose_tile.cl without local memory plans wg-vec" ;;
+  *) echo "FAIL: transpose_tile.cl without local memory did not plan as wg-vec"
+     echo "$out"; exit 1 ;;
+esac
+out=$(dune exec bin/groverc.exe -- report examples/kernels/saxpy.cl)
+case "$out" in
+  *"execution path (local memory disabled): wg-loop"*)
+     echo "-- saxpy.cl (lane-rejected, barrier-free) plans wg-loop" ;;
+  *) echo "FAIL: saxpy.cl did not plan as wg-loop"; echo "$out"; exit 1 ;;
+esac
 
 echo "== masked lane execution: guard diamonds upgrade, divergent stores bail =="
 # The guarded matmul carries the SDK boundary-clamp idiom: a pure

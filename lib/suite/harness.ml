@@ -19,7 +19,7 @@ type run = {
   totals : Trace.totals;
   sim : Sim.result option;
   path : string;
-      (** execution path taken: "wg-vec", "wg-loop", "fiberless" or "fiber" *)
+      (** execution path taken: "wg-vec", "wg-loop" or "fiber" *)
 }
 
 type comparison = {
@@ -127,7 +127,7 @@ let run_version ?vectorized_override ?engine ?domains (case : Kit.case)
 type wallclock_run = {
   wc_seconds : float;
   wc_items : int;  (** work-items executed *)
-  wc_path : string;  (** "wg-vec", "wg-loop", "fiberless" or "fiber" *)
+  wc_path : string;  (** "wg-vec", "wg-loop" or "fiber" *)
   wc_domains : int;  (** parallel domains actually used (incl. the caller) *)
   wc_lane_width : int;  (** lane width compiled for (1 = scalar) *)
 }
