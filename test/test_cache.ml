@@ -463,7 +463,21 @@ let check_tuned_of_entry () =
   Alcotest.(check string) "retired path: version" "without_lm"
     r.Runtime.tn_version;
   Alcotest.(check bool) "retired path: default plan" true
-    (r.Runtime.tn_path = None)
+    (r.Runtime.tn_path = None);
+  (* Path names round-trip through exactly the spelling the runtime
+     prints; nothing else parses. *)
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        (Runtime.string_of_path p ^ " round-trips")
+        true
+        (Runtime.path_of_string (Runtime.string_of_path p) = Some p))
+    [ Runtime.Wg_vec; Runtime.Wg_loop; Runtime.Fiber ];
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " is not a path name") true
+        (Runtime.path_of_string s = None))
+    [ "fibers"; "wgloop"; "wg_loop"; "wgvec"; "wg_vec"; "fiberless" ]
 
 (** The acceptance property: with a populated DB installed, [Runtime.plan]
     resolves version / path / lane width by lookup — no execution of either

@@ -665,50 +665,144 @@ let prop_spill_preserves_results =
       let f_tot, f_bufs = run true in
       d_tot = f_tot && compare d_bufs f_bufs = 0)
 
-(* Lane width is an implementation knob, not a semantic one: W ∈ {1,4,8}
-   must be output-invariant for every launch shape, including group sizes
-   that are not a multiple of W (the final batch of a sweep shrinks to
-   the remainder — the peeled tail). The every-spill-kind kernel above
-   runs under the forced wg-vec plan at each width and is compared
-   against the fiber scheduler bit for bit. *)
-let prop_lane_width_invariant =
-  QCheck.Test.make ~name:"lane width W in {1,4,8} is output-invariant"
-    ~count:20
-    QCheck.(triple (int_range 1 6) (int_range 1 16) (oneofl [ 1; 4; 8 ]))
-    (fun (groups, wg, width) ->
-      let n = groups * wg in
-      let run mode =
-        let fn =
-          match Lower.compile spill_prop_source with
-          | [ f ] -> f
-          | _ -> assert false
-        in
-        Grover_passes.Pipeline.normalize fn;
-        let mem = Memory.create () in
+let lower_one src =
+  let fn = match Lower.compile src with [ f ] -> f | _ -> assert false in
+  Grover_passes.Pipeline.normalize fn;
+  fn
+
+(* A private array indexed by loaded data: normalization cannot promote
+   it, and it is read again after the barrier, so its buffer and bump
+   offset must survive the region boundary. No suite kernel keeps a
+   private alloca. *)
+let private_array_source =
+  {|__kernel void k(__global int *out, __global const int *sel, int n) {
+      __local int tile[64];
+      int priv[4];
+      int g = get_global_id(0);
+      int l = get_local_id(0);
+      int s = sel[g] & 3;
+      for (int j = 0; j < 4; j++) priv[j] = g * 4 + j;
+      priv[s] = priv[s] + n;
+      tile[l] = priv[(s + 1) & 3];
+      barrier(CLK_LOCAL_MEM_FENCE);
+      out[g] = tile[(l + 1) % get_local_size(0)] + priv[s];
+    }|}
+
+(* The example corpus is a test dependency, copied next to the build
+   directory of this executable. *)
+let example_kernel (file : string) : string =
+  let dir = Filename.dirname Sys.executable_name in
+  In_channel.with_open_text
+    (Filename.concat dir ("../examples/kernels/" ^ file))
+    In_channel.input_all
+
+(* Inputs of the lane-width differential: (label, source, host setup for
+   [n] work-items). Besides the every-spill-kind kernel: the private
+   array above, and two kernels whose stores sit under divergent control
+   (a barrier-free guard and a barrier kernel), which the lane compiler
+   rejects at W > 1. *)
+let lane_width_kernels :
+    (string * (unit -> string) * (Memory.t -> int -> Runtime.arg_binding list))
+    list =
+  [ ( "spill kinds",
+      (fun () -> spill_prop_source),
+      fun mem n ->
         let vout = Memory.alloc mem (Ssa.Vec (Ssa.F32, 4)) n in
         let sout = Memory.alloc mem Ssa.F32 n in
         let a = Memory.alloc mem (Ssa.Vec (Ssa.F32, 4)) n in
         let b = Memory.alloc mem Ssa.F32 n in
         Memory.fill_floats a (fun i -> float_of_int (i - 5) /. 3.0);
         Memory.fill_floats b (fun i -> float_of_int (i * 7 mod 11) /. 4.0);
-        let c, force_path =
-          match mode with
-          | `Lanes w -> (Interp.prepare ~lane_width:w fn, Some Runtime.Wg_vec)
-          | `Fibers -> (Interp.prepare fn, Some Runtime.Fiber)
-        in
-        let totals =
-          Runtime.launch c
-            ~cfg:{ Runtime.global = (n, 1, 1); local = (wg, 1, 1); queues = 1 }
-            ~args:
-              [ Runtime.Abuf vout; Runtime.Abuf sout; Runtime.Abuf a;
-                Runtime.Abuf b; Runtime.Aint n ]
-            ~mem ?force_path ()
-        in
-        (totals, snapshot_buffers mem)
-      in
-      let v_tot, v_bufs = run (`Lanes width) in
-      let f_tot, f_bufs = run `Fibers in
-      v_tot = f_tot && compare v_bufs f_bufs = 0)
+        [ Runtime.Abuf vout; Runtime.Abuf sout; Runtime.Abuf a;
+          Runtime.Abuf b; Runtime.Aint n ] );
+    ( "private array",
+      (fun () -> private_array_source),
+      fun mem n ->
+        let out = Memory.alloc mem Ssa.I32 n in
+        let sel = Memory.alloc mem Ssa.I32 n in
+        Memory.fill_ints sel (fun i -> i * 7 mod 5);
+        [ Runtime.Abuf out; Runtime.Abuf sel; Runtime.Aint 100 ] );
+    ( "saxpy.cl",
+      (fun () -> example_kernel "saxpy.cl"),
+      fun mem n ->
+        let y = Memory.alloc mem Ssa.F32 n in
+        let x = Memory.alloc mem Ssa.F32 n in
+        Memory.fill_floats y (fun i -> float_of_int i /. 4.0);
+        Memory.fill_floats x (fun i -> float_of_int (i * 5 mod 9) -. 2.0);
+        [ Runtime.Abuf y; Runtime.Abuf x; Runtime.Afloat 2.5;
+          Runtime.Aint (n - (n / 3)) ] );
+    ( "divergent_store.cl",
+      (fun () -> example_kernel "divergent_store.cl"),
+      fun mem n ->
+        let out = Memory.alloc mem Ssa.I32 n in
+        let inp = Memory.alloc mem Ssa.I32 n in
+        Memory.fill_ints inp (fun i -> i * 7 mod 13);
+        [ Runtime.Abuf out; Runtime.Abuf inp; Runtime.Aint 6 ] ) ]
+
+(* Lane width is an implementation knob, not a semantic one: for every
+   W ∈ {1,4,8} and every launch shape, including group sizes that are not
+   a multiple of W (the final batch of a sweep shrinks to the remainder —
+   the peeled tail), the default plan, forced wg-loop and forced fiber on
+   the compiled engine must match the tree oracle bit for bit: buffers
+   (Private/Local scratch included) and launch totals. *)
+let lane_width_agrees (_, src, setup) ~groups ~wg ~width : bool =
+  let n = groups * wg in
+  let run engine force_path =
+    let fn = lower_one (src ()) in
+    let mem = Memory.create () in
+    let args = setup mem n in
+    let c = Interp.prepare ~engine ~lane_width:width fn in
+    let totals =
+      Runtime.launch c
+        ~cfg:{ Runtime.global = (n, 1, 1); local = (wg, 1, 1); queues = 1 }
+        ~args ~mem ?force_path ()
+    in
+    (totals, snapshot_buffers mem)
+  in
+  let t_tot, t_bufs = run Interp.Tree None in
+  List.for_all
+    (fun force_path ->
+      let tot, bufs = run Interp.Compiled force_path in
+      t_tot = tot && compare t_bufs bufs = 0)
+    [ None; Some Runtime.Wg_loop; Some Runtime.Fiber ]
+
+let prop_lane_width_invariant =
+  let kernels = Array.of_list lane_width_kernels in
+  QCheck.Test.make ~name:"lane width W in {1,4,8} is output-invariant"
+    ~count:30
+    QCheck.(
+      pair
+        (int_bound (Array.length kernels - 1))
+        (triple (int_range 1 6) (int_range 1 16) (oneofl [ 1; 4; 8 ])))
+    (fun (k, (groups, wg, width)) ->
+      lane_width_agrees kernels.(k) ~groups ~wg ~width)
+
+(* Every lane-width input at every W, on a group size (13) that no W > 1
+   divides; the private-array input must actually keep its alloca. *)
+let test_lane_width_grid () =
+  let has_private fn =
+    Ssa.fold_instrs
+      (fun acc (i : Ssa.instr) ->
+        acc
+        ||
+        match i.Ssa.op with
+        | Ssa.Alloca { aspace = Ssa.Private; _ } -> true
+        | _ -> false)
+      false fn
+  in
+  Alcotest.(check bool) "private alloca survives normalize" true
+    (has_private (lower_one private_array_source));
+  List.iter
+    (fun ((label, _, _) as k) ->
+      List.iter
+        (fun width ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, W=%d, wg=13: tree = default = wg-loop = fiber"
+               label width)
+            true
+            (lane_width_agrees k ~groups:3 ~wg:13 ~width))
+        [ 1; 4; 8 ])
+    lane_width_kernels
 
 (* -- Masked lane execution (divergent diamonds) -------------------------------
    A guarded-diamond kernel: a boundary clamp (triangle — one arm is the
@@ -716,11 +810,6 @@ let prop_lane_width_invariant =
    plus a barrier so wg-vec, wg-loop and fiber all execute distinct
    machinery. The diamonds must classify as lane-capable-with-mask and the
    masked batch must stay bit-identical to every scalar oracle. *)
-
-let lower_one src =
-  let fn = match Lower.compile src with [ f ] -> f | _ -> assert false in
-  Grover_passes.Pipeline.normalize fn;
-  fn
 
 let masked_diamond_source =
   {|__kernel void k(__global float *out, __global const float *a, int n) {
@@ -939,21 +1028,38 @@ let test_regions_transpose () =
         (Array.length i.Regions.live_across.(0) > 0)
   | Regions.Fallback r -> Alcotest.failf "unexpected fallback: %s" r
 
+(* Region formation rejects a divergent barrier statically; the fiber
+   scheduler then detects it at run time on either engine. *)
 let test_regions_divergent_barrier_falls_back () =
-  let fn =
-    lower_one
-      {|__kernel void f(__global int *out) {
-          __local int tmp[8];
-          int l = get_local_id(0);
-          tmp[l] = l;
-          if (l < 4) { barrier(CLK_LOCAL_MEM_FENCE); }
-          out[get_global_id(0)] = tmp[0];
-        }|}
+  let src =
+    {|__kernel void f(__global int *out) {
+        __local int tmp[8];
+        int l = get_local_id(0);
+        tmp[l] = l;
+        if (l < 4) { barrier(CLK_LOCAL_MEM_FENCE); }
+        out[get_global_id(0)] = tmp[0];
+      }|}
   in
-  match Regions.form fn with
+  (match Regions.form (lower_one src) with
   | Regions.Fallback _ -> ()
   | Regions.Formed _ ->
-      Alcotest.fail "divergent barrier must not form regions"
+      Alcotest.fail "divergent barrier must not form regions");
+  List.iter
+    (fun engine ->
+      let c = Interp.prepare ~engine (lower_one src) in
+      let mem = Memory.create () in
+      let out = Memory.alloc mem Ssa.I32 16 in
+      match launch_1d c mem [ Runtime.Abuf out ] ~n:16 ~wg:8 with
+      | exception Runtime.Launch_error m ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s engine reports barrier divergence: %s"
+               (Interp.engine_name engine) m)
+            true
+            (String.starts_with ~prefix:"barrier divergence" m)
+      | _ ->
+          Alcotest.failf "%s engine ran a divergent barrier to completion"
+            (Interp.engine_name engine))
+    [ Interp.Compiled; Interp.Tree ]
 
 let test_regions_uniform_branch_qualifies () =
   (* Same shape as examples/kernels/uniform_branch_barrier.cl: the
@@ -1177,4 +1283,6 @@ let suite =
       [ QCheck_alcotest.to_alcotest prop_engines_agree;
         QCheck_alcotest.to_alcotest prop_domain_count_invariant;
         QCheck_alcotest.to_alcotest prop_spill_preserves_results;
-        QCheck_alcotest.to_alcotest prop_lane_width_invariant ] ) ]
+        QCheck_alcotest.to_alcotest prop_lane_width_invariant;
+        Alcotest.test_case "lane width grid: W in {1,4,8}, wg 13" `Quick
+          test_lane_width_grid ] ) ]
