@@ -46,8 +46,9 @@ type diamond = {
 (** Per-region-entry lane capability. [Lane]: group-uniform control
     throughout, plain lane batching. [Lane_masked n]: lane batching after
     if-converting [n] pure divergent diamonds under a per-lane predicate
-    mask. [Scalar reason]: the region runs the one-work-item sweep, and
-    [reason] says why (located where the source carries positions). *)
+    mask. [Scalar reason]: the region runs in one-lane batches (one
+    work-item per pass of the one-lane code), and [reason] says why
+    (located where the source carries positions). *)
 type lane_verdict = Lane | Lane_masked of int | Scalar of string
 
 let lane_ok = function Lane | Lane_masked _ -> true | Scalar _ -> false
@@ -66,8 +67,8 @@ type info = {
           batches? Every reachable block up to the next barrier must stay
           under group-uniform control — except classified {!diamond}s,
           which the lane compiler executes under a mask — and allocate no
-          private memory. [Scalar] regions fall back to the one-work-item
-          sweep within the same launch. *)
+          private memory. [Scalar] regions run in one-lane batches
+          within the same launch. *)
   diamonds : (int, diamond) Hashtbl.t;
       (** branch-block bid -> classified maskable diamond, shared across
           regions; the lane compiler looks its divergent branches up here *)
@@ -259,9 +260,9 @@ let classify_diamond ~(cfg : Cfg.t) ~(pdom : Postdom.t) (b : block)
 
 (* Lane capability of the region entered at instruction index [start] of
    block [b0]. Everything reachable up to the next barrier must stay
-   under group-uniform control and allocate no private memory (the bump
-   allocator hands out per-work-item addresses in flat work-item order,
-   which a lane batch would permute) — with one exception: a divergent
+   under group-uniform control and allocate no private memory (private
+   buffers are allocated in flat work-item order, which a W-wide batch
+   would interleave) — with one exception: a divergent
    conditional branch heading a pure diamond is if-converted under a
    per-lane mask, recorded in [diamonds], and the walk continues at the
    join. Anything else divergent yields [Scalar] with the reason. *)

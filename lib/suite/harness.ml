@@ -129,7 +129,9 @@ type wallclock_run = {
   wc_items : int;  (** work-items executed *)
   wc_path : string;  (** "wg-vec", "wg-loop" or "fiber" *)
   wc_domains : int;  (** parallel domains actually used (incl. the caller) *)
-  wc_lane_width : int;  (** lane width compiled for (1 = scalar) *)
+  wc_lane_width : int;
+      (** lane width of the W-wide code (1 = none: every region runs
+          one-lane batches) *)
 }
 
 let wallclock ?engine ?(domains = 1) ?(force_fibers = false) ?(reps = 1)
