@@ -4,15 +4,15 @@
 
    - the closure-compiled engine vs the legacy tree-walking engine,
    - lane-batched execution (wg-vec, the default for this kernel) vs the
-     forced one-work-item region sweep (wg-loop) vs the forced fiber
-     scheduler on the barrier-carrying with_lm version, and
+     forced group loop on one-lane (W = 1) batches (wg-loop) vs the forced
+     fiber scheduler on the barrier-carrying with_lm version, and
    - a domain-scaling sweep — (1, 2, 4, 0=auto) requested domains x
      (wg-vec on with_lm; the default plan and forced fibers on the
      barrier-free Grover-transformed version) — exercising the persistent
      domain pool and the chunked group scheduler.
 
    Every row records which execution path ran (wg-vec / wg-loop /
-   fiber), the lane width (1 for every non-batched path) and
+   fiber), the lane width (1 for every path but wg-vec) and
    how many pool domains were actually used, so the numbers feeding
    tuning decisions are auditable. The run *fails* if no with_lm row
    actually took the wg-vec path, or none the wg-loop path — the bench
@@ -229,16 +229,16 @@ let report_cache (cs : cache_stats) : unit =
    whole suite (both versions) and counts the region entries whose lane
    verdict is [Lane_masked] — divergent-but-pure diamonds that the lane
    compiler runs under a per-lane mask instead of dropping the region to
-   the one-work-item scalar sweep. The bench *fails* if the count is zero:
+   one-lane batches. The bench *fails* if the count is zero:
    the guard-diamond kernels (NVD-MM boundary clamp, NBody tail guard)
    must keep qualifying, or the masked path has silently rotted back to
    bail-on-divergence.
 
    [masked_bench] then measures what masking buys on one upgraded kernel:
-   NVD-MM-A with_lm (whose row clamp previously forced scalar sweeps)
-   forced onto wg-vec (masked lane batches) vs forced onto wg-loop (the
-   scalar sweep those regions used to take). Both runs validate their
-   output against the host reference. *)
+   NVD-MM-A with_lm (whose row clamp previously forced one-work-item
+   execution) forced onto wg-vec (masked lane batches) vs forced onto
+   wg-loop (one-lane batches, what those regions used to take). Both runs
+   validate their output against the host reference. *)
 
 module Regions = Grover_ir.Regions
 
@@ -252,8 +252,8 @@ type masked_stats = {
   mk_case : string;  (** the upgraded kernel measured below *)
   mk_lane_width : int;
   mk_vec_wi_per_sec : float;  (** masked wg-vec throughput *)
-  mk_loop_wi_per_sec : float;  (** forced scalar-sweep throughput *)
-  mk_speedup : float;  (** masked wg-vec / scalar sweep *)
+  mk_loop_wi_per_sec : float;  (** forced wg-loop (one-lane) throughput *)
+  mk_speedup : float;  (** masked wg-vec / forced wg-loop *)
 }
 
 let masked_region_count () : int =
@@ -274,7 +274,7 @@ let masked_bench ~(quick : bool) ~(reps : int) () : masked_stats =
   if regions = 0 then begin
     Printf.eprintf
       "perf bench FAILED: no suite region runs masked lane batches \
-       (if-conversion of guard diamonds fell back to the scalar sweep?)\n";
+       (if-conversion of guard diamonds fell back to one-lane batches?)\n";
     exit 1
   end;
   let case = Nvd_mm.case_a in
@@ -331,7 +331,7 @@ let report_masked (s : masked_stats) : unit =
   Printf.printf
     "\nmasked lane execution: %d region(s) across the suite run divergent \
      diamonds if-converted\n\
-    \  %s with_lm, masked wg-vec (%d lanes) vs forced scalar sweep: %.0f vs \
+    \  %s with_lm, masked wg-vec (%d lanes) vs forced wg-loop (1 lane): %.0f vs \
      %.0f wi/sec (%.2fx)\n"
     s.mk_regions s.mk_case s.mk_lane_width s.mk_vec_wi_per_sec
     s.mk_loop_wi_per_sec s.mk_speedup
@@ -493,8 +493,8 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
     [ m ~version:H.With_lm ~engine:Interp.Tree ~domains:1 ();
       (* Default path for the compiled with_lm version: wg-vec. *)
       m ~version:H.With_lm ~engine:Interp.Compiled ~domains:1 ();
-      (* The one-work-item region sweep on the same kernel — the pair
-         quantifies what lane batching buys over PR 5's executor. *)
+      (* The group loop on one-lane batches on the same kernel — the
+         pair quantifies what W-wide lane batching buys. *)
       m ~version:H.With_lm ~engine:Interp.Compiled ~domains:1
         ~force_path:Runtime.Wg_loop ();
       (* The fiber oracle — wg-loop vs this pair quantifies what
