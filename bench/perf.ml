@@ -69,26 +69,26 @@ let version_name = function H.With_lm -> "with_lm" | H.Without_lm -> "without_lm
 let engine_name = function Interp.Compiled -> "compiled" | Interp.Tree -> "tree"
 
 let measure ~(version : H.version) ~(engine : Interp.engine)
-    ?(force_fibers = false) ?force_path ?(sanitize = false) ~(domains : int)
+    ?force_path ?(sanitize = false) ~(domains : int)
     ~(n : int) ~(reps : int) () : row =
   let fn, _ = H.compile_version Nvd_mt.case version in
   let compiled = Interp.prepare ~engine fn in
   let w = mk_transpose ~n in
   let cfg = { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 } in
-  let p = Runtime.plan compiled ~cfg ~force_fibers ?force_path ~domains () in
+  let p = Runtime.plan compiled ~cfg ?force_path ~domains () in
   let one_launch () =
     if sanitize then begin
       (* A fresh shadow state per launch, as `groverc sanitize` would pay. *)
       let _totals, findings =
         Runtime.run_sanitized compiled ~cfg ~args:w.Kit.args ~mem:w.Kit.mem
-          ~force_fibers ?force_path ()
+          ?force_path ()
       in
       if findings <> [] then failwith "perf bench: unexpected sanitizer finding"
     end
     else
       ignore
         (Runtime.launch compiled ~cfg ~args:w.Kit.args ~mem:w.Kit.mem ~domains
-           ~force_fibers ?force_path ())
+           ?force_path ())
   in
   (* One untimed warm-up launch: first-touch page faults, pool-domain
      spawning and GC ramp-up otherwise land on whichever row runs first
@@ -498,9 +498,10 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
       m ~version:H.With_lm ~engine:Interp.Compiled ~domains:1
         ~force_path:Runtime.Wg_loop ();
       (* The fiber oracle — wg-loop vs this pair quantifies what
-         barrier-region execution buys over the effect-handler scheduler. *)
+         barrier-region execution buys over barrier rounds of per-item
+         states. *)
       m ~version:H.With_lm ~engine:Interp.Compiled ~domains:1
-        ~force_fibers:true ();
+        ~force_path:Runtime.Fiber ();
       m ~version:H.Without_lm ~engine:Interp.Tree ~domains:1 ();
       m ~version:H.Without_lm ~engine:Interp.Compiled ~domains:1 ();
       (* domains = 0 asks the runtime for the recommended domain count. *)
@@ -519,12 +520,13 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
      forced fibers, across requested domain counts. *)
   let sweep_rows =
     List.concat_map
-      (fun (version, force_fibers) ->
+      (fun (version, force_path) ->
         List.map
           (fun domains ->
-            m ~version ~engine:Interp.Compiled ~force_fibers ~domains ())
+            m ~version ~engine:Interp.Compiled ?force_path ~domains ())
           [ 1; 2; 4; 0 ])
-      [ (H.With_lm, false); (H.Without_lm, false); (H.Without_lm, true) ]
+      [ (H.With_lm, None); (H.Without_lm, None);
+        (H.Without_lm, Some Runtime.Fiber) ]
   in
   let rows = engine_rows @ sanitize_rows @ sweep_rows in
   Printf.printf "%-12s %-10s %-8s %-10s %5s %6s %7s %9s %12s %14s\n" "version"
@@ -702,16 +704,16 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
        configuration — the exact failure mode the per-launch Domain.spawn
        runtime exhibited. *)
     let checks =
-      [ ("with_lm wg-vec", H.With_lm, false);
-        ("without_lm default", H.Without_lm, false);
-        ("without_lm fiber", H.Without_lm, true) ]
+      [ ("with_lm wg-vec", H.With_lm, None);
+        ("without_lm default", H.Without_lm, None);
+        ("without_lm fiber", H.Without_lm, Some Runtime.Fiber) ]
     in
     (* The table rows above are measured minutes apart, so a background
        load spike on a shared machine can depress one side of a
        comparison by far more than 10%. The gate therefore re-times each
        pair with interleaved launches — serial, auto, serial, auto, ... —
        so both sides sample the same load profile, and compares best-of. *)
-    let measure_pair ~version ~force_fibers =
+    let measure_pair ~version ~force_path =
       let fn, _ = H.compile_version Nvd_mt.case version in
       let compiled = Interp.prepare ~engine:Interp.Compiled fn in
       let w = mk_transpose ~n in
@@ -720,7 +722,7 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
         let t0 = Unix.gettimeofday () in
         let (_ : Trace.totals) =
           Runtime.launch compiled ~cfg ~args:w.Kit.args ~mem:w.Kit.mem ~domains
-            ~force_fibers ()
+            ?force_path ()
         in
         Unix.gettimeofday () -. t0
       in
@@ -738,9 +740,9 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
     in
     let failed =
       List.filter_map
-        (fun (label, version, force_fibers) ->
+        (fun (label, version, force_path) ->
           let path =
-            if force_fibers then "fiber"
+            if force_path = Some Runtime.Fiber then "fiber"
             else if version = H.With_lm then "wg-vec"
             else without_1.path
           in
@@ -749,7 +751,7 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
              runtime was ~2x slower) fails every one; an unlucky load
              burst does not. *)
           let rec attempt k =
-            let serial, auto = measure_pair ~version ~force_fibers in
+            let serial, auto = measure_pair ~version ~force_path in
             if auto >= 0.9 *. serial then None
             else if k < 3 then attempt (k + 1)
             else

@@ -378,7 +378,7 @@ let path_info (fn : Grover_ir.Ssa.func) : string * string list =
   let module R = Grover_ocl.Runtime in
   let v = Grover_ir.Regions.form fn in
   let c = Grover_ocl.Interp.prepare ~engine:Grover_ocl.Interp.Compiled fn in
-  let p = R.choose_path c ~cfg:None ~force_fibers:false ~force_path:None in
+  let p = R.choose_path c ~cfg:None ~force_path:None in
   let path =
     if p = R.Wg_vec then
       Printf.sprintf "wg-vec, %d lanes" (Grover_ocl.Interp.lane_width_of c)

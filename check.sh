@@ -36,6 +36,11 @@ for mode in wg-vec wg-loop fiber; do
   GROVER_FORCE_PATH=$mode dune exec bin/groverc.exe -- sanitize all --scale 8 \
     > /dev/null
 done
+# The tree engine only takes the fiber path: the same sweep there runs its
+# resumable walker (stop at a barrier, resume next round) over the suite.
+echo "-- GROVER_ENGINE=tree"
+GROVER_ENGINE=tree dune exec bin/groverc.exe -- sanitize all --scale 8 \
+  > /dev/null
 # The retired fiberless value is now a typo like any other: groverc must
 # reject it up front with exactly one line naming the valid values, and
 # no backtrace.
@@ -167,6 +172,7 @@ expect_bad() {
 }
 expect_bad bad_racy_store.cl GRV-RACE-MUST GRV-SAN-WW
 expect_bad bad_divergent_barrier.cl GRV-BARRIER-DIV GRV-SAN-DIV
+expect_bad bad_split_barrier.cl GRV-BARRIER-DIV GRV-SAN-DIV
 expect_bad bad_oob_index.cl GRV-OOB-STATIC GRV-SAN-OOB
 
 echo "== autotune with auto domains, both engines (validated wallclock) =="

@@ -19,19 +19,21 @@
 
     [barrier()] semantics come in two flavours:
 
-    - {b fibers} (the fallback, and the only option for the tree engine):
-      each work-item runs as an OCaml 5 fiber — on the compiled engine,
-      the one-lane code with one state per work-item; hitting a barrier
-      performs [Barrier_hit], the group scheduler parks the continuation,
-      and resumes every work-item of the group once all of them have
-      arrived;
+    - {b barrier rounds} (the fallback, and the only option for the tree
+      engine): every work-item keeps its own resumable state — on the
+      compiled engine a one-lane {!lane_state} plus the segment it
+      resumes at, on the tree engine a {!wi_state} holding its current
+      block and remaining instructions. The group scheduler runs each
+      work-item in turn up to its next barrier ({!run_lane_region},
+      {!run_tree}), then releases the barrier and starts the next round
+      once all of them wait at the same one;
     - {b work-group loops} (compiled engine, when {!Grover_ir.Regions}
       verifies every barrier is group-uniform): the kernel is compiled
       into barrier-split {e segments}; the runtime sweeps the group in
       batches once per barrier-delimited region — W-wide batches where
       the region is lane-capable, one-lane batches otherwise — spilling
       the SSA values that cross a region boundary into per-work-item
-      context arrays. No effect handlers, no fiber stacks.
+      context arrays, so no work-item needs a state of its own.
 
     Memory accesses stream into the group's {!Trace.wg_stats} for the
     performance simulator either way, in the same order. *)
@@ -96,8 +98,6 @@ type wi_ctx = {
   ngr : int array;
   mutable flat_lid : int;  (** linear id within the group, for traces *)
 }
-
-type _ Effect.t += Barrier_hit : unit Effect.t
 
 (* -- Scalar helpers ----------------------------------------------------------- *)
 
@@ -255,7 +255,7 @@ let math2 name a b =
     only in the peeled tail batch of a group whose size is not a multiple
     of the lane width. A one-lane state ([lw] = 1) runs one work-item at a
     time: the wg-loop path, the regions wg-vec cannot batch, and each
-    fiber of the fiber path. *)
+    work-item of the fiber path. *)
 type lane_state = {
   lw : int;  (** compiled lane width W *)
   mutable nl : int;  (** active lanes in the current batch *)
@@ -300,6 +300,10 @@ type lane_state = {
 (** Tree-engine state: one work-item, one boxed slot per instruction. *)
 type wi_state = {
   c : compiled;
+  mutable blk : block;  (** block the work-item is executing *)
+  mutable rest : instr list;
+      (** [blk]'s instructions still to run before its terminator; a
+          work-item stopped at a barrier resumes here *)
   env : rv array;
   args : rv array;
   ctx : wi_ctx;
@@ -677,49 +681,48 @@ and exec_instr (st : wi_state) (i : instr) : unit =
       | Vec (_, _) -> set (RVecI (Array.of_list (List.map (fun v -> as_int (eval st v)) vs)))
       | _ -> trap "vecbuild of non-vector")
   | Phi _ -> trap "phi executed outside block entry"
-  | Barrier _ ->
-      st.stats.Trace.barriers <- st.stats.Trace.barriers + 1;
-      Effect.perform Barrier_hit
+  | Barrier _ -> trap "barrier executed outside run_tree"
   | Br _ | Cond_br _ | Ret -> trap "terminator executed as body instruction"
 
-and run_tree (st : wi_state) : unit =
-  let cur = ref (entry st.c.fn) in
-  let prev = ref None in
-  let running = ref true in
-  while !running do
-    let blk = !cur in
-    (* Phase 1: evaluate all phis against the incoming edge, then commit. *)
-    let phis =
-      List.filter_map
-        (fun i ->
-          match i.op with
-          | Phi { incoming; _ } -> (
-              match !prev with
-              | None -> trap "phi in entry block"
-              | Some p -> (
-                  match
-                    List.find_opt (fun (b, _) -> b.bid = p.bid) incoming
-                  with
-                  | Some (_, v) -> Some (i, eval st v)
-                  | None -> trap "phi has no incoming for predecessor"))
-          | _ -> None)
-        blk.instrs
-    in
-    List.iter (fun (i, rv) -> st.env.(slot st i) <- rv) phis;
-    List.iter
-      (fun i -> match i.op with Phi _ -> () | _ -> exec_instr st i)
-      blk.instrs;
-    (match blk.term with
-    | Some { op = Br target; _ } ->
-        prev := Some blk;
-        cur := target
-    | Some { op = Cond_br (c, t, e); _ } ->
-        st.stats.Trace.branches <- st.stats.Trace.branches + 1;
-        prev := Some blk;
-        cur := if as_int (eval st c) <> 0 then t else e
-    | Some { op = Ret; _ } -> running := false
-    | _ -> trap "missing terminator")
-  done
+(* Enter [blk] from [prev]: evaluate its leading phis against the incoming
+   edge, then commit them, and queue the rest of the block. *)
+and enter_block (st : wi_state) (prev : block) (blk : block) : unit =
+  let rec stage acc = function
+    | ({ op = Phi { incoming; _ }; _ } as i) :: tl -> (
+        match List.find_opt (fun (b, _) -> b.bid = prev.bid) incoming with
+        | Some (_, v) -> stage ((i, eval st v) :: acc) tl
+        | None -> trap "phi has no incoming for predecessor")
+    | rest ->
+        List.iter (fun (i, rv) -> st.env.(slot st i) <- rv) acc;
+        rest
+  in
+  st.rest <- stage [] blk.instrs;
+  st.blk <- blk
+
+(** Run the work-item from its resume point to its next barrier, returning
+    that barrier's instruction id, or to its return, returning -1. *)
+and run_tree (st : wi_state) : int =
+  let stop = ref (-2) in
+  while !stop = -2 do
+    match st.rest with
+    | i :: tl -> (
+        st.rest <- tl;
+        match i.op with
+        | Barrier _ ->
+            st.stats.Trace.barriers <- st.stats.Trace.barriers + 1;
+            stop := i.iid
+        | _ -> exec_instr st i)
+    | [] -> (
+        let blk = st.blk in
+        match blk.term with
+        | Some { op = Br target; _ } -> enter_block st blk target
+        | Some { op = Cond_br (c, t, e); _ } ->
+            st.stats.Trace.branches <- st.stats.Trace.branches + 1;
+            enter_block st blk (if as_int (eval st c) <> 0 then t else e)
+        | Some { op = Ret; _ } -> stop := -1
+        | _ -> trap "missing terminator")
+  done;
+  !stop
 
 (* == The closure compiler =================================================== *)
 
@@ -2847,21 +2850,6 @@ let run_lane_region (ls : lane_state) (ln : clanes) ~(from : int) : int =
   done;
   !exitc
 
-(** One work-item as a fiber: the one-lane code from the kernel entry to
-    its return, performing [Barrier_hit] at every barrier and continuing
-    at the barrier's continuation segment once the scheduler resumes it.
-    [ls] holds a single work-item ([nl] = 1). *)
-let run_lane_fiber (ls : lane_state) (cf : cfunc) : unit =
-  let cur = ref 0 in
-  while !cur >= 0 do
-    let bar = run_lane_region ls cf.one ~from:!cur in
-    if bar < 0 then cur := -1
-    else begin
-      Effect.perform Barrier_hit;
-      cur := cf.bar_entry.(bar)
-    end
-  done
-
 (* Lane spill save/restore against the per-work-item context matrices
    ([cwg] widths): uniform values replicate their base column into every
    active row on save and read the batch's base row on restore (a
@@ -2984,10 +2972,6 @@ let reset_lane_batch (ls : lane_state) ~(base : int) ~(nl : int) : unit =
 
 (* -- Public interface -------------------------------------------------------- *)
 
-(* Default lane width: 8, dropping to 4 for kernels with many live slots
-   (a wide batch of a slot-heavy kernel blows the L1-resident working set
-   of the lane environments). [GROVER_LANE_WIDTH] overrides, clamped to
-   1..16. *)
 (** The [GROVER_LANE_WIDTH] override, clamped to 1..16; [None] when unset,
     empty, or unparseable (which warns — see {!warn_env}). *)
 let lane_width_env () : int option =
@@ -3003,6 +2987,10 @@ let lane_width_env () : int option =
             s;
           None)
 
+(* Default lane width: 8, dropping to 4 for kernels with many live slots
+   (a wide batch of a slot-heavy kernel blows the L1-resident working set
+   of the lane environments). [GROVER_LANE_WIDTH] overrides, clamped to
+   1..16. *)
 let lane_width_for (fn : func) : int =
   let default () =
     let n =
@@ -3073,8 +3061,11 @@ let lane_entry_flags (c : compiled) : bool array option =
 let make_state (c : compiled) ~(args : rv array) ~(ctx : wi_ctx)
     ~(stats : Trace.wg_stats) ~(local_bufs : (int, Memory.buffer) Hashtbl.t)
     ~(mem : Memory.t) ~(queue : int) : wi_state =
+  let blk = entry c.fn in
   {
     c;
+    blk;
+    rest = blk.instrs;
     env = Array.make c.n_slots (RInt 0);
     args;
     ctx;
@@ -3123,8 +3114,9 @@ let make_lane_state (cf : cfunc) (ln : clanes) ~(ctx : wi_ctx)
   }
 
 (** Re-aim a pooled tree-engine state at work-item [flat] of the group
-    currently held in [st.ctx.grp]: recompute [lid]/[gid] in place and
-    rewind the private bump allocator. The slot array is deliberately
+    currently held in [st.ctx.grp]: recompute [lid]/[gid] in place, and
+    rewind the resume point to the kernel entry and the private bump
+    allocator. The slot array is deliberately
     {e not} cleared — SSA dominance guarantees every use is preceded by a
     def on any execution path, so a stale slot from the previous
     work-item is unobservable. *)
@@ -3141,4 +3133,6 @@ let reset_item (st : wi_state) ~(flat : int) : unit =
   ctx.gid.(1) <- (grp.(1) * lsz.(1)) + ly;
   ctx.gid.(2) <- (grp.(2) * lsz.(2)) + lz;
   ctx.flat_lid <- flat;
+  st.blk <- entry st.c.fn;
+  st.rest <- st.blk.instrs;
   st.private_offset <- 0

@@ -15,10 +15,11 @@
       group-uniform; each barrier-delimited region runs one work-item per
       pass, live values crossing region boundaries ride in per-work-item
       context arrays;
-    - {b fiber}: the effect-handler scheduler, kept as the differential
-      oracle and as the fallback when no region code exists (the tree
-      engine, or region formation gave up — divergent barriers, which it
-      then detects dynamically). On the compiled engine each fiber runs
+    - {b fiber}: barrier rounds over per-work-item states, kept as the
+      differential oracle and as the fallback when no region code exists
+      (the tree engine, or region formation gave up — divergent barriers,
+      which it then detects dynamically). Each round runs every work-item
+      up to its next barrier; on the compiled engine each work-item runs
       the one-lane code.
 
     A barrier-free kernel — every Grover-transformed [without_lm] version,
@@ -206,32 +207,30 @@ let env_force_path () : path option =
             s)
 
 let choose_path (c : Interp.compiled) ~(cfg : launch_config option)
-    ~(force_fibers : bool) ~(force_path : path option) : path =
-  if force_fibers then Fiber
-  else
-    let forced =
-      match force_path with
-      | Some _ -> force_path
-      | None -> (
-          match env_force_path () with
-          | Some _ as p -> p
-          | None -> (
-              (* No explicit override: a populated autotune DB decides,
-                 still subject to the capability ladder below. *)
-              match cfg with
-              | None -> None
-              | Some cfg -> (
-                  match lookup_tuned ~name:c.Interp.fn.f_name ~cfg with
-                  | Some { tn_path; _ } -> tn_path
-                  | None -> None)))
-    in
-    match forced with
-    | Some Fiber -> Fiber
-    | Some Wg_loop when wg_capable c -> Wg_loop
-    | Some Wg_loop | Some Wg_vec | None ->
-        if wgvec_capable c then Wg_vec
-        else if wg_capable c then Wg_loop
-        else Fiber
+    ~(force_path : path option) : path =
+  let forced =
+    match force_path with
+    | Some _ -> force_path
+    | None -> (
+        match env_force_path () with
+        | Some _ as p -> p
+        | None -> (
+            (* No explicit override: a populated autotune DB decides,
+               still subject to the capability ladder below. *)
+            match cfg with
+            | None -> None
+            | Some cfg -> (
+                match lookup_tuned ~name:c.Interp.fn.f_name ~cfg with
+                | Some { tn_path; _ } -> tn_path
+                | None -> None)))
+  in
+  match forced with
+  | Some Fiber -> Fiber
+  | Some Wg_loop when wg_capable c -> Wg_loop
+  | Some Wg_loop | Some Wg_vec | None ->
+      if wgvec_capable c then Wg_vec
+      else if wg_capable c then Wg_loop
+      else Fiber
 
 (* Pool-growth cap: a domain whose share of the NDRange is below one
    claimable chunk of work adds coordination (and domain wake-up) cost
@@ -239,8 +238,8 @@ let choose_path (c : Interp.compiled) ~(cfg : launch_config option)
    of spreading a handful of groups over every core. *)
 let min_groups_per_domain = 2
 
-let plan (c : Interp.compiled) ~(cfg : launch_config) ?(force_fibers = false)
-    ?force_path ?(domains = 1) () : exec_plan =
+let plan (c : Interp.compiled) ~(cfg : launch_config) ?force_path
+    ?(domains = 1) () : exec_plan =
   let gx, gy, gz = cfg.global and lx, ly, lz = cfg.local in
   let n_groups =
     if lx <= 0 || ly <= 0 || lz <= 0 then 0
@@ -253,7 +252,7 @@ let plan (c : Interp.compiled) ~(cfg : launch_config) ?(force_fibers = false)
     else min d (max 1 (n_groups / min_groups_per_domain))
   in
   {
-    path = choose_path c ~cfg:(Some cfg) ~force_fibers ~force_path;
+    path = choose_path c ~cfg:(Some cfg) ~force_path;
     domains_used = d;
     domains_requested = requested;
     domains_clamped = d < requested;
@@ -270,11 +269,11 @@ let path_name (p : exec_plan) : string = string_of_path p.path
 
    Everything a domain needs to run work-groups, allocated once per launch
    per domain and reused across all its groups: the pooled work-item
-   states (one per group slot under fibers, a single one-lane state plus
-   the W-wide one on the region paths), the reused [grp] coordinate array
-   shared by every state's context, the per-queue local-memory
-   allocations, and the parked-continuation queue of the fiber
-   scheduler. *)
+   states (one per work-item of the group on the fiber path, which keeps
+   every item's resume point across barrier rounds; a single one-lane
+   state plus the W-wide one on the region paths), the reused [grp]
+   coordinate array shared by every state's context, and the per-queue
+   local-memory allocations. *)
 
 type local_set = {
   ls_tab : (int, Memory.buffer) Hashtbl.t;  (** alloca iid -> buffer *)
@@ -295,14 +294,13 @@ type exec_ctx = {
   args : Interp.rv array;  (** the argument row every state aliases *)
   states : Interp.wi_state array;
       (** tree engine: one pooled state per work-item (fibers only —
-          work-items of a group are live concurrently between barriers);
-          empty on the compiled engine *)
+          every work-item of the group is suspended at the barrier between
+          rounds); empty on the compiled engine *)
   items : Interp.lane_state array;
       (** compiled engine: one-lane states, [n_items] under fibers, 1 on
           the region paths; empty on the tree engine *)
   n_items : int;
   path : path;
-  parked : (unit, unit) Effect.Deep.continuation Stdlib.Queue.t;
   (* Region-executor context matrices: [n_items] rows of the widths in
      [cwg]; a work-item's values that survive a region boundary park in
      its row between sweeps. Empty on the other paths. *)
@@ -393,7 +391,6 @@ let make_ctx (c : Interp.compiled) ~(rv_args : Interp.rv array)
     items;
     n_items;
     path;
-    parked = Stdlib.Queue.create ();
     wg_ictx;
     wg_fctx;
     wg_bctx;
@@ -442,60 +439,55 @@ let local_set_for (x : exec_ctx) (queue : int) : local_set =
 
 (* -- Group schedulers --------------------------------------------------------- *)
 
-(* Barrier-aware scheduler: every work-item runs as a fiber; hitting a
-   barrier performs [Barrier_hit], the handler parks the continuation, and
-   the group resumes in rounds once all still-running items have arrived. *)
+(* Both group loops share one barrier-divergence rule: every work-item
+   must leave a round at the same point — the same barrier, or its
+   return — as work-item 0. Anything else is barrier divergence,
+   undefined behaviour in OpenCL. *)
+let diverged (x : exec_ctx) ~(item : int) =
+  fail
+    "barrier divergence in %s: work-item %d reached a different barrier \
+     (or return) than work-item 0"
+    x.xc.Interp.fn.f_name item
+
+(* A barrier was released: all work-items synchronized, so accesses after
+   this point are ordered against everything before it. *)
+let release_barrier (x : exec_ctx) : unit =
+  x.stats.Trace.barrier_rounds <- x.stats.Trace.barrier_rounds + 1;
+  match x.san with Some s -> Sanitize.barrier_round s | None -> ()
+
+(* Barrier rounds: every work-item keeps its own state and runs, in flat-id
+   order, from where it stopped to its next barrier or its return; once
+   all of them wait at the same barrier it is released and the next round
+   begins. Items resume at [bar]'s continuation segment on the compiled
+   engine; a tree-engine state carries its resume point itself. *)
 let run_group_fibers (x : exec_ctx) : unit =
-  let open Effect.Deep in
-  let parked = x.parked in
-  let finished = ref 0 in
-  for flat = 0 to x.n_items - 1 do
-    let run =
-      match x.xc.Interp.code with
-      | Some cf ->
-          let ls = x.items.(flat) in
-          Interp.reset_lane_batch ls ~base:flat ~nl:1;
-          fun () -> Interp.run_lane_fiber ls cf
-      | None ->
-          let st = x.states.(flat) in
-          Interp.reset_item st ~flat;
-          fun () -> Interp.run_tree st
-    in
-    match_with
-      (fun () ->
-        run ();
-        incr finished)
-      ()
-      {
-        retc = (fun () -> ());
-        exnc = (fun e -> raise e);
-        effc =
-          (fun (type a) (eff : a Effect.t) ->
-            match eff with
-            | Interp.Barrier_hit ->
-                Some (fun (k : (a, unit) continuation) -> Stdlib.Queue.add k parked)
-            | _ -> None);
-      }
-  done;
-  (* Barrier rounds: a released barrier must have been reached by every
-     work-item of the group. A work-item that already finished performed
-     fewer barrier crossings than the parked ones are about to — barrier
-     divergence, undefined behaviour in OpenCL. *)
-  while not (Stdlib.Queue.is_empty parked) do
-    let waiting = Stdlib.Queue.length parked in
-    if !finished > 0 then
-      fail "barrier divergence in %s: %d of %d work-items reached the barrier"
-        x.xc.Interp.fn.f_name waiting x.n_items;
-    x.stats.Trace.barrier_rounds <- x.stats.Trace.barrier_rounds + 1;
-    (* All work-items synchronized: accesses after this point are ordered
-       against everything before it. *)
-    (match x.san with Some s -> Sanitize.barrier_round s | None -> ());
-    let batch = Stdlib.Queue.create () in
-    Stdlib.Queue.transfer parked batch;
-    Stdlib.Queue.iter (fun k -> continue k ()) batch
-  done;
-  if !finished <> x.n_items then
-    fail "work-group did not run to completion in %s" x.xc.Interp.fn.f_name
+  let resume =
+    match x.xc.Interp.code with
+    | Some cf ->
+        Array.iteri
+          (fun flat ls -> Interp.reset_lane_batch ls ~base:flat ~nl:1)
+          x.items;
+        fun ~bar flat ->
+          let from = if bar < 0 then 0 else cf.Interp.bar_entry.(bar) in
+          Interp.run_lane_region x.items.(flat) cf.Interp.one ~from
+    | None ->
+        Array.iteri (fun flat st -> Interp.reset_item st ~flat) x.states;
+        fun ~bar:_ flat -> Interp.run_tree x.states.(flat)
+  in
+  let bar = ref (-1) in
+  (* barrier the group was released from; -1 = kernel entry *)
+  let finished = ref false in
+  while not !finished do
+    let exit0 = resume ~bar:!bar 0 in
+    for flat = 1 to x.n_items - 1 do
+      if resume ~bar:!bar flat <> exit0 then diverged x ~item:flat
+    done;
+    if exit0 < 0 then finished := true
+    else begin
+      release_barrier x;
+      bar := exit0
+    end
+  done
 
 (* Work-group loops: sweep the group through the current parallel region
    in batches, then advance the whole group past the barrier and sweep
@@ -512,9 +504,8 @@ let run_group_fibers (x : exec_ctx) : unit =
    region), so trace event streams are bit-identical.
 
    Region formation proved barriers group-uniform, but that is a static
-   claim about a dynamic property; the sweep still verifies that every
-   batch leaves the region at the same exit and reports barrier
-   divergence like the fiber scheduler would. *)
+   claim about a dynamic property; the sweep still applies the fiber
+   path's divergence rule to every batch. *)
 let run_group_regions (x : exec_ctx) : unit =
   let cf, w =
     match x.xc.Interp.code with
@@ -554,18 +545,13 @@ let run_group_regions (x : exec_ctx) : unit =
         Interp.lane_spill_save ls w ln ~bar:e ~ictx:x.wg_ictx ~fctx:x.wg_fctx
           ~bctx:x.wg_bctx ~priv:x.wg_priv;
       if !exit0 = -2 then exit0 := e
-      else if e <> !exit0 then
-        fail
-          "barrier divergence in %s: work-item %d left the parallel region \
-           at a different point than work-item 0"
-          x.xc.Interp.fn.f_name !base;
+      else if e <> !exit0 then diverged x ~item:!base;
       base := !base + nl
     done;
     if !exit0 < 0 then finished := true
     else begin
       (* The whole group arrived: this sweep boundary is the barrier. *)
-      x.stats.Trace.barrier_rounds <- x.stats.Trace.barrier_rounds + 1;
-      (match x.san with Some s -> Sanitize.barrier_round s | None -> ());
+      release_barrier x;
       entered := !exit0;
       cur := cf.Interp.bar_entry.(!exit0)
     end
@@ -1017,8 +1003,10 @@ end
     assumes work-groups write disjoint output elements, as well-formed
     data-parallel kernels do.
 
-    [force_fibers] runs the launch under the fiber scheduler whatever the
-    plan would pick — the differential test hook for the region paths.
+    [force_path] pins the group scheduler within static capability, as
+    [GROVER_FORCE_PATH] does; [~force_path:Fiber] runs the launch as
+    barrier rounds whatever the plan would pick — the differential test
+    hook for the region paths.
 
     [sanitizer] installs a {!Sanitize.t} on every work-item state: each
     load/store is checked for intra-group races and out-of-bounds indices
@@ -1030,7 +1018,7 @@ end
 let launch (c : Interp.compiled) ~(cfg : launch_config)
     ~(args : arg_binding list) ~(mem : Memory.t)
     ?(on_group : (Trace.wg_stats -> unit) option) ?(domains = 1)
-    ?(force_fibers = false) ?force_path ?(sanitizer : Sanitize.t option) () :
+    ?force_path ?(sanitizer : Sanitize.t option) () :
     Trace.totals =
   let gx, gy, gz = cfg.global and lx, ly, lz = cfg.local in
   if lx <= 0 || ly <= 0 || lz <= 0 then fail "work-group sizes must be positive";
@@ -1044,7 +1032,7 @@ let launch (c : Interp.compiled) ~(cfg : launch_config)
   let n_groups = ngr.(0) * ngr.(1) * ngr.(2) in
   let domains = if sanitizer <> None then 1 else domains in
   let { path; domains_used = d; _ } =
-    plan c ~cfg ~force_fibers ?force_path ~domains ()
+    plan c ~cfg ?force_path ~domains ()
   in
   if d <= 1 then begin
     (* One pooled execution context for the whole launch: states, stats
@@ -1086,11 +1074,11 @@ let launch (c : Interp.compiled) ~(cfg : launch_config)
     diagnostic of its own. The execution itself is bit-identical to a
     normal [launch]. *)
 let run_sanitized (c : Interp.compiled) ~(cfg : launch_config)
-    ~(args : arg_binding list) ~(mem : Memory.t) ?(force_fibers = false)
-    ?force_path () : Trace.totals * Sanitize.finding list =
+    ~(args : arg_binding list) ~(mem : Memory.t) ?force_path () :
+    Trace.totals * Sanitize.finding list =
   let san = Sanitize.create () in
   let totals =
-    try launch c ~cfg ~args ~mem ~force_fibers ?force_path ~sanitizer:san ()
+    try launch c ~cfg ~args ~mem ?force_path ~sanitizer:san ()
     with Sanitize.Abort _ -> Trace.empty_totals ()
   in
   (totals, Sanitize.findings san)

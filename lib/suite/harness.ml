@@ -134,7 +134,7 @@ type wallclock_run = {
           one-lane batches) *)
 }
 
-let wallclock ?engine ?(domains = 1) ?(force_fibers = false) ?(reps = 1)
+let wallclock ?engine ?(domains = 1) ?(reps = 1)
     (case : Kit.case) (v : version) ~(scale : int) : wallclock_run =
   if reps < 1 then invalid_arg "wallclock: reps must be >= 1";
   let fn, _ = compile_version case v in
@@ -142,7 +142,7 @@ let wallclock ?engine ?(domains = 1) ?(force_fibers = false) ?(reps = 1)
   let w = case.Kit.mk ~scale in
   let gx, gy, gz = w.Kit.global in
   let cfg = { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 } in
-  let p = Runtime.plan compiled ~cfg ~force_fibers ~domains () in
+  let p = Runtime.plan compiled ~cfg ~domains () in
   (* Min-of-N: scheduler noise and warm-up only ever make a run slower, so
      the minimum is the honest estimate of the kernel's cost (the tinygrad
      timing idiom) — what the autotune DB should record. *)
@@ -151,7 +151,7 @@ let wallclock ?engine ?(domains = 1) ?(force_fibers = false) ?(reps = 1)
     let t0 = Unix.gettimeofday () in
     let (_ : Trace.totals) =
       Runtime.launch compiled ~cfg ~args:w.Kit.args ~mem:w.Kit.mem ~domains
-        ~force_fibers ()
+        ()
     in
     let dt = Unix.gettimeofday () -. t0 in
     if dt < !best then best := dt

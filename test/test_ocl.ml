@@ -379,12 +379,13 @@ let prop_engines_agree =
    Every launch plans down the same ladder (wg-vec -> wg-loop -> fiber)
    whether or not the kernel has barriers; a barrier-free kernel (every
    Grover-transformed suite version) is a one-region sweep, lane-batched
-   where the lane compiler accepts it. [~force_fibers:true] runs the same
-   launch under the effect-handler scheduler. Both must produce
+   where the lane compiler accepts it. [~force_path:Fiber] runs the same
+   launch as barrier rounds over per-work-item states. Both must produce
    bit-identical buffers and identical totals, uniformly over the whole
    suite x both versions, on the process's default engine. *)
 
-let run_path (case : Kit.case) (v : H.version) ~(force_fibers : bool) :
+let run_path (case : Kit.case) (v : H.version)
+    ~(force_path : Runtime.path option) :
     Trace.totals * (int * Ssa.space * Memory.storage) list * (unit, string) result =
   let fn, _ = H.compile_version case v in
   let compiled = Interp.prepare fn in
@@ -392,13 +393,15 @@ let run_path (case : Kit.case) (v : H.version) ~(force_fibers : bool) :
   let totals =
     Runtime.launch compiled
       ~cfg:{ Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 }
-      ~args:w.Kit.args ~mem:w.Kit.mem ~force_fibers ()
+      ~args:w.Kit.args ~mem:w.Kit.mem ?force_path ()
   in
   (totals, snapshot_buffers w.Kit.mem, w.Kit.check ())
 
 let check_paths_agree (case : Kit.case) (v : H.version) () =
-  let f_tot, f_bufs, f_valid = run_path case v ~force_fibers:false in
-  let s_tot, s_bufs, s_valid = run_path case v ~force_fibers:true in
+  let f_tot, f_bufs, f_valid = run_path case v ~force_path:None in
+  let s_tot, s_bufs, s_valid =
+    run_path case v ~force_path:(Some Runtime.Fiber)
+  in
   (match f_valid with
   | Ok () -> ()
   | Error m -> Alcotest.failf "default plan invalid output: %s" m);
@@ -431,7 +434,7 @@ let default_vs_fibers_cases =
    which keeps the comparison meaningful there too. *)
 
 let run_sched (case : Kit.case) (v : H.version) ~(engine : Interp.engine)
-    ~(force_fibers : bool) :
+    ~(force_path : Runtime.path option) :
     Trace.totals * (int * Ssa.space * Memory.storage) list * (unit, string) result =
   let fn, _ = H.compile_version case v in
   let compiled = Interp.prepare ~engine fn in
@@ -439,14 +442,16 @@ let run_sched (case : Kit.case) (v : H.version) ~(engine : Interp.engine)
   let totals =
     Runtime.launch compiled
       ~cfg:{ Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 }
-      ~args:w.Kit.args ~mem:w.Kit.mem ~force_fibers ()
+      ~args:w.Kit.args ~mem:w.Kit.mem ?force_path ()
   in
   (totals, snapshot_buffers w.Kit.mem, w.Kit.check ())
 
 let check_wgloop_agrees (case : Kit.case) (v : H.version)
     (engine : Interp.engine) () =
-  let d_tot, d_bufs, d_valid = run_sched case v ~engine ~force_fibers:false in
-  let f_tot, f_bufs, f_valid = run_sched case v ~engine ~force_fibers:true in
+  let d_tot, d_bufs, d_valid = run_sched case v ~engine ~force_path:None in
+  let f_tot, f_bufs, f_valid =
+    run_sched case v ~engine ~force_path:(Some Runtime.Fiber)
+  in
   (match d_valid with
   | Ok () -> ()
   | Error m -> Alcotest.failf "default path invalid output: %s" m);
@@ -636,7 +641,7 @@ let prop_spill_preserves_results =
     QCheck.(pair (int_range 1 8) (int_range 1 16))
     (fun (groups, wg) ->
       let n = groups * wg in
-      let run force_fibers =
+      let run force_path =
         let fn =
           match Lower.compile spill_prop_source with
           | [ f ] -> f
@@ -657,12 +662,12 @@ let prop_spill_preserves_results =
             ~args:
               [ Runtime.Abuf vout; Runtime.Abuf sout; Runtime.Abuf a;
                 Runtime.Abuf b; Runtime.Aint n ]
-            ~mem ~force_fibers ()
+            ~mem ?force_path ()
         in
         (totals, snapshot_buffers mem)
       in
-      let d_tot, d_bufs = run false in
-      let f_tot, f_bufs = run true in
+      let d_tot, d_bufs = run None in
+      let f_tot, f_bufs = run (Some Runtime.Fiber) in
       d_tot = f_tot && compare d_bufs f_bufs = 0)
 
 let lower_one src =
@@ -688,6 +693,32 @@ let private_array_source =
       out[g] = tile[(l + 1) % get_local_size(0)] + priv[s];
     }|}
 
+(* Barriers region formation must reject statically, yet every work-item
+   reaches each of them at run time: one under [l < n] with [n] at least
+   the group size, and two inside a loop whose trip count is loaded from
+   a buffer (uniform within a group, different across groups, zero for
+   some). Only the fiber path runs such a kernel. *)
+let fallback_barrier_source =
+  {|__kernel void k(__global int *out, __global const int *trips, int n) {
+      __local int tile[64];
+      int g = get_global_id(0);
+      int l = get_local_id(0);
+      int acc = g;
+      if (l < n) {
+        tile[l] = g * 3;
+        barrier(CLK_LOCAL_MEM_FENCE);
+        acc += tile[(l + 1) % get_local_size(0)];
+      }
+      int t = trips[get_group_id(0)];
+      for (int j = 0; j < t; j++) {
+        barrier(CLK_LOCAL_MEM_FENCE);
+        tile[l] = acc + j;
+        barrier(CLK_LOCAL_MEM_FENCE);
+        acc += tile[(l + j + 1) % get_local_size(0)];
+      }
+      out[g] = acc;
+    }|}
+
 (* The example corpus is a test dependency, copied next to the build
    directory of this executable. *)
 let example_kernel (file : string) : string =
@@ -698,9 +729,9 @@ let example_kernel (file : string) : string =
 
 (* Inputs of the lane-width differential: (label, source, host setup for
    [n] work-items). Besides the every-spill-kind kernel: the private
-   array above, and two kernels whose stores sit under divergent control
-   (a barrier-free guard and a barrier kernel), which the lane compiler
-   rejects at W > 1. *)
+   array and the statically rejected barriers above, and two kernels whose
+   stores sit under divergent control (a barrier-free guard and a barrier
+   kernel), which the lane compiler rejects at W > 1. *)
 let lane_width_kernels :
     (string * (unit -> string) * (Memory.t -> int -> Runtime.arg_binding list))
     list =
@@ -722,6 +753,13 @@ let lane_width_kernels :
         let sel = Memory.alloc mem Ssa.I32 n in
         Memory.fill_ints sel (fun i -> i * 7 mod 5);
         [ Runtime.Abuf out; Runtime.Abuf sel; Runtime.Aint 100 ] );
+    ( "fallback barriers",
+      (fun () -> fallback_barrier_source),
+      fun mem n ->
+        let out = Memory.alloc mem Ssa.I32 n in
+        let trips = Memory.alloc mem Ssa.I32 n in
+        Memory.fill_ints trips (fun grp -> grp mod 3);
+        [ Runtime.Abuf out; Runtime.Abuf trips; Runtime.Aint n ] );
     ( "saxpy.cl",
       (fun () -> example_kernel "saxpy.cl"),
       fun mem n ->
@@ -744,7 +782,8 @@ let lane_width_kernels :
    a multiple of W (the final batch of a sweep shrinks to the remainder —
    the peeled tail), the default plan, forced wg-loop and forced fiber on
    the compiled engine must match the tree oracle bit for bit: buffers
-   (Private/Local scratch included) and launch totals. *)
+   (Private/Local scratch included), launch totals and the number of
+   barrier rounds the groups crossed. *)
 let lane_width_agrees (_, src, setup) ~groups ~wg ~width : bool =
   let n = groups * wg in
   let run engine force_path =
@@ -752,18 +791,21 @@ let lane_width_agrees (_, src, setup) ~groups ~wg ~width : bool =
     let mem = Memory.create () in
     let args = setup mem n in
     let c = Interp.prepare ~engine ~lane_width:width fn in
+    let rounds = ref 0 in
     let totals =
       Runtime.launch c
         ~cfg:{ Runtime.global = (n, 1, 1); local = (wg, 1, 1); queues = 1 }
-        ~args ~mem ?force_path ()
+        ~args ~mem ?force_path
+        ~on_group:(fun s -> rounds := !rounds + s.Trace.barrier_rounds)
+        ()
     in
-    (totals, snapshot_buffers mem)
+    (totals, !rounds, snapshot_buffers mem)
   in
-  let t_tot, t_bufs = run Interp.Tree None in
+  let t_tot, t_rounds, t_bufs = run Interp.Tree None in
   List.for_all
     (fun force_path ->
-      let tot, bufs = run Interp.Compiled force_path in
-      t_tot = tot && compare t_bufs bufs = 0)
+      let tot, rounds, bufs = run Interp.Compiled force_path in
+      t_tot = tot && t_rounds = rounds && compare t_bufs bufs = 0)
     [ None; Some Runtime.Wg_loop; Some Runtime.Fiber ]
 
 let prop_lane_width_invariant =
@@ -778,7 +820,9 @@ let prop_lane_width_invariant =
       lane_width_agrees kernels.(k) ~groups ~wg ~width)
 
 (* Every lane-width input at every W, on a group size (13) that no W > 1
-   divides; the private-array input must actually keep its alloca. *)
+   divides; the private-array input must actually keep its alloca, and
+   the fallback-barrier input must actually be rejected by region
+   formation. *)
 let test_lane_width_grid () =
   let has_private fn =
     Ssa.fold_instrs
@@ -792,6 +836,10 @@ let test_lane_width_grid () =
   in
   Alcotest.(check bool) "private alloca survives normalize" true
     (has_private (lower_one private_array_source));
+  (match Regions.form (lower_one fallback_barrier_source) with
+  | Regions.Fallback _ -> ()
+  | Regions.Formed _ ->
+      Alcotest.fail "fallback-barrier input must not form regions");
   List.iter
     (fun ((label, _, _) as k) ->
       List.iter
@@ -1029,9 +1077,11 @@ let test_regions_transpose () =
   | Regions.Fallback r -> Alcotest.failf "unexpected fallback: %s" r
 
 (* Region formation rejects a divergent barrier statically; the fiber
-   scheduler then detects it at run time on either engine. *)
+   path then detects it at run time on either engine — both when some
+   work-items skip the barrier, and when the two arms of a branch wait at
+   two different barriers (examples/kernels/bad_split_barrier.cl). *)
 let test_regions_divergent_barrier_falls_back () =
-  let src =
+  let skipped =
     {|__kernel void f(__global int *out) {
         __local int tmp[8];
         int l = get_local_id(0);
@@ -1040,26 +1090,42 @@ let test_regions_divergent_barrier_falls_back () =
         out[get_global_id(0)] = tmp[0];
       }|}
   in
-  (match Regions.form (lower_one src) with
-  | Regions.Fallback _ -> ()
-  | Regions.Formed _ ->
-      Alcotest.fail "divergent barrier must not form regions");
+  let inputs =
+    [ ( "skipped barrier",
+        skipped,
+        (fun mem -> [ Runtime.Abuf (Memory.alloc mem Ssa.I32 16) ]),
+        8 );
+      ( "bad_split_barrier.cl",
+        example_kernel "bad_split_barrier.cl",
+        (fun mem ->
+          let out = Memory.alloc mem Ssa.F32 16 in
+          let inp = Memory.alloc mem Ssa.F32 16 in
+          Memory.fill_floats inp float_of_int;
+          [ Runtime.Abuf out; Runtime.Abuf inp ]),
+        16 ) ]
+  in
   List.iter
-    (fun engine ->
-      let c = Interp.prepare ~engine (lower_one src) in
-      let mem = Memory.create () in
-      let out = Memory.alloc mem Ssa.I32 16 in
-      match launch_1d c mem [ Runtime.Abuf out ] ~n:16 ~wg:8 with
-      | exception Runtime.Launch_error m ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s engine reports barrier divergence: %s"
-               (Interp.engine_name engine) m)
-            true
-            (String.starts_with ~prefix:"barrier divergence" m)
-      | _ ->
-          Alcotest.failf "%s engine ran a divergent barrier to completion"
-            (Interp.engine_name engine))
-    [ Interp.Compiled; Interp.Tree ]
+    (fun (label, src, setup, wg) ->
+      (match Regions.form (lower_one src) with
+      | Regions.Fallback _ -> ()
+      | Regions.Formed _ ->
+          Alcotest.failf "%s: divergent barrier must not form regions" label);
+      List.iter
+        (fun engine ->
+          let c = Interp.prepare ~engine (lower_one src) in
+          let mem = Memory.create () in
+          match launch_1d c mem (setup mem) ~n:16 ~wg with
+          | exception Runtime.Launch_error m ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %s engine reports barrier divergence: %s"
+                   label (Interp.engine_name engine) m)
+                true
+                (String.starts_with ~prefix:"barrier divergence" m)
+          | _ ->
+              Alcotest.failf "%s: %s engine ran a divergent barrier to completion"
+                label (Interp.engine_name engine))
+        [ Interp.Compiled; Interp.Tree ])
+    inputs
 
 let test_regions_uniform_branch_qualifies () =
   (* Same shape as examples/kernels/uniform_branch_barrier.cl: the
