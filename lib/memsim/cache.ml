@@ -12,8 +12,10 @@ type t = {
   cfg : config;
   sets : int;
   tags : int array;  (** [set * ways + way] -> line tag, -1 = invalid *)
-  lru : int array;  (** recency counter per slot; larger = more recent *)
-  dirty : bool array;
+  lru : int array;
+      (** per slot, [tick lsl 1 lor dirty]: the tick of the last access
+          (larger = more recent; ticks are unique, so the dirty bit never
+          decides the LRU order) and whether the line is dirty *)
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
@@ -29,7 +31,6 @@ let create (cfg : config) : t =
     sets;
     tags = Array.make (sets * cfg.ways) (-1);
     lru = Array.make (sets * cfg.ways) 0;
-    dirty = Array.make (sets * cfg.ways) false;
     tick = 0;
     hits = 0;
     misses = 0;
@@ -39,7 +40,6 @@ let create (cfg : config) : t =
 let reset (c : t) : unit =
   Array.fill c.tags 0 (Array.length c.tags) (-1);
   Array.fill c.lru 0 (Array.length c.lru) 0;
-  Array.fill c.dirty 0 (Array.length c.dirty) false;
   c.tick <- 0;
   c.hits <- 0;
   c.misses <- 0;
@@ -54,15 +54,16 @@ let access_line (c : t) ~(line : int) ~(is_write : bool) : bool =
   c.tick <- c.tick + 1;
   let set = line mod c.sets in
   let base = set * c.cfg.ways in
-  let found = ref (-1) in
-  for w = 0 to c.cfg.ways - 1 do
-    if c.tags.(base + w) = line then found := w
+  let ways = c.cfg.ways in
+  let w = ref 0 in
+  while !w < ways && c.tags.(base + !w) <> line do
+    incr w
   done;
-  if !found >= 0 then begin
-    let w = !found in
+  if !w < ways then begin
+    let w = !w in
     c.hits <- c.hits + 1;
-    c.lru.(base + w) <- c.tick;
-    if is_write then c.dirty.(base + w) <- true;
+    c.lru.(base + w) <-
+      (c.tick lsl 1) lor (c.lru.(base + w) land 1) lor Bool.to_int is_write;
     true
   end
   else begin
@@ -73,11 +74,10 @@ let access_line (c : t) ~(line : int) ~(is_write : bool) : bool =
       if c.lru.(base + w) < c.lru.(base + !victim) then victim := w
     done;
     let w = !victim in
-    if c.tags.(base + w) >= 0 && c.dirty.(base + w) then
+    if c.tags.(base + w) >= 0 && c.lru.(base + w) land 1 = 1 then
       c.writebacks <- c.writebacks + 1;
     c.tags.(base + w) <- line;
-    c.lru.(base + w) <- c.tick;
-    c.dirty.(base + w) <- is_write;
+    c.lru.(base + w) <- (c.tick lsl 1) lor Bool.to_int is_write;
     false
   end
 
@@ -85,7 +85,7 @@ let access_line (c : t) ~(line : int) ~(is_write : bool) : bool =
     Returns the number of line misses (0 = all hits). *)
 let access (c : t) ~(addr : int) ~(bytes : int) ~(is_write : bool) : int =
   let first = line_of c addr in
-  let last = line_of c (addr + max 1 bytes - 1) in
+  let last = line_of c (addr + Int.max 1 bytes - 1) in
   let misses = ref 0 in
   for line = first to last do
     if not (access_line c ~line ~is_write) then incr misses

@@ -27,7 +27,9 @@ type event = {
 let dummy_event =
   { addr = 0; bytes = 0; is_write = false; space = Ssa.Global; wi = 0 }
 
-(* Packed event info word: [wi lsl 3 lor space lsl 1 lor is_write]. *)
+(* Packed event info word: [wi lsl 3 lor space lsl 1 lor is_write].
+   memsim/simulate.ml decodes it directly, not through the [ev_*]
+   accessors below. *)
 
 let space_code = function
   | Ssa.Global -> 0

@@ -1,6 +1,8 @@
 (* Memory-simulator tests: cache behaviour (hit/miss/LRU/writeback/set
-   conflicts), GPU coalescing and bank conflicts, and end-to-end sanity of
-   the platform models. *)
+   conflicts, against a reference LRU), GPU coalescing and bank conflicts,
+   the simulator's input checks and allocation-free [consume], end-to-end
+   sanity of the platform models, and the suite's results pinned bit for
+   bit. *)
 
 open Grover_ocl
 module M = Grover_memsim
@@ -87,6 +89,39 @@ let prop_cache_miss_bound =
       s.Cache.s_hits + s.Cache.s_misses = List.length addrs
       && s.Cache.s_misses >= List.length unique_lines)
 
+(* A list-based LRU reference: per set, (line, dirty) pairs most recent
+   first. Hits, misses and writebacks must match [Cache] exactly. *)
+let prop_cache_matches_reference =
+  QCheck.Test.make ~name:"cache agrees with a reference LRU" ~count:200
+    QCheck.(list_of_size (QCheck.Gen.int_range 1 300) (pair (int_range 0 4095) bool))
+    (fun accesses ->
+      let c = Cache.create (cfg ()) in
+      let sets = Array.make 8 [] in
+      let hits = ref 0 and misses = ref 0 and writebacks = ref 0 in
+      List.iter
+        (fun (addr, is_write) ->
+          ignore (Cache.access c ~addr ~bytes:1 ~is_write);
+          let line = addr / 64 in
+          let set = line mod 8 in
+          match List.assoc_opt line sets.(set) with
+          | Some dirty ->
+              incr hits;
+              sets.(set) <-
+                (line, dirty || is_write) :: List.remove_assoc line sets.(set)
+          | None ->
+              incr misses;
+              let kept =
+                match sets.(set) with
+                | [ a; (_, victim_dirty) ] ->
+                    if victim_dirty then incr writebacks;
+                    [ a ]
+                | l -> l
+              in
+              sets.(set) <- (line, is_write) :: kept)
+        accesses;
+      Cache.stats c
+      = { Cache.s_hits = !hits; s_misses = !misses; s_writebacks = !writebacks })
+
 (* -- Synthetic traces through the simulator ---------------------------------- *)
 
 let mk_stats ?(queue = 0) ~wg_size events =
@@ -168,6 +203,74 @@ let test_cpu_simd_coalescing () =
   Alcotest.(check bool) "strided costs more" true
     (cycles big_stride >= 4.0 *. cycles unit_stride)
 
+(* A 64-work-item group with [per_lane] accesses per work-item, cycling
+   through coalesced global reads, strided global writes, bank-conflicting
+   local accesses and private accesses. *)
+let synthetic_group ~per_lane =
+  let wg_size = 64 in
+  let s = Trace.fresh_stats ~wg_id:0 ~queue:0 ~wg_size in
+  s.Trace.int_ops <- 1000;
+  s.Trace.float_ops <- 500;
+  s.Trace.barrier_rounds <- 2;
+  for j = 0 to per_lane - 1 do
+    for wi = 0 to wg_size - 1 do
+      let space, addr, is_write =
+        match j mod 4 with
+        | 0 -> (Grover_ir.Ssa.Global, 0x1000_0000 + (4 * ((j * wg_size) + wi)), false)
+        | 1 -> (Grover_ir.Ssa.Global, 0x1000_0000 + (512 * wi) + (4 * j), true)
+        | 2 -> (Grover_ir.Ssa.Local, 0x0100_0000 + (128 * (wi mod 8)) + (4 * j), wi mod 2 = 0)
+        | _ -> (Grover_ir.Ssa.Private, 0x2000_0000 + (64 * wi) + (4 * j), j mod 8 = 3)
+      in
+      Trace.record s ~addr ~bytes:4 ~is_write ~space ~wi
+    done
+  done;
+  s
+
+(* Minor words per [consume] of [s] on a simulator warmed with [s]. *)
+let words_per_consume (p : P.t) s =
+  let sim = Sim.create p in
+  Sim.consume sim s;
+  let reps = 20 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to reps do
+    Sim.consume sim s
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int reps
+
+let test_consume_allocation_free () =
+  let small = synthetic_group ~per_lane:21 and big = synthetic_group ~per_lane:420 in
+  List.iter
+    (fun (p : P.t) ->
+      let ws = words_per_consume p small and wb = words_per_consume p big in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f minor words per 1344-event group" p.P.name ws)
+        true (ws <= 8.0);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f minor words per 20x larger group" p.P.name wb)
+        true (wb <= ws))
+    P.all
+
+let test_rejects_out_of_range_wi () =
+  let s = mk_stats ~wg_size:4 [ ev ~wi:0 ~addr:0 (); ev ~wi:4 ~addr:64 () ] in
+  List.iter
+    (fun (p : P.t) ->
+      Alcotest.check_raises p.P.name
+        (Invalid_argument
+           "Simulate.consume: event from work-item 4 in a work-group of 4 work-items")
+        (fun () -> Sim.consume (Sim.create p) s))
+    P.all
+
+let test_rejects_non_pow2_unit () =
+  let plat =
+    match P.fermi.P.mem with
+    | P.Gpu_mem g -> { P.fermi with P.mem = P.Gpu_mem { g with P.segment = 96 } }
+    | P.Cpu_mem _ -> Alcotest.fail "Fermi must be a GPU"
+  in
+  Alcotest.check_raises "segment"
+    (Invalid_argument
+       "Simulate.create: segment of 96 bytes is not a power of two")
+    (fun () -> ignore (Sim.create plat))
+
 (* -- Platform sanity ------------------------------------------------------------ *)
 
 let test_platform_lookup () =
@@ -203,6 +306,72 @@ let test_simulate_accumulates_queues () =
   Alcotest.(check bool) "max over queues" true
     (r.Sim.cycles < r.Sim.per_queue.(0) +. r.Sim.per_queue.(1))
 
+(* -- Golden results: every field of [Simulate.result], bit for bit --------------- *)
+
+(* One row per (case, version, platform) of the suite at scale 4, every float
+   as a %h hex literal so the comparison is exact. The pinned rows are
+   test/memsim_golden.tsv; on a mismatch the fresh table is written to
+   memsim_golden.actual in the test's working directory
+   (_build/default/test under [dune runtest]), so an intended model change
+   is recorded by copying that file over the pinned one. *)
+let golden_scale = 4
+
+let golden_rows () : string list =
+  let module H = Grover_suite.Harness in
+  let hex f = Printf.sprintf "%h" f in
+  List.concat_map
+    (fun (case : Grover_suite.Kit.case) ->
+      List.concat_map
+        (fun v ->
+          let fn, _ = H.compile_version case v in
+          List.map
+            (fun (p : P.t) ->
+              let _, _, sim, valid, _ =
+                H.execute case fn ~scale:golden_scale ~platform:(Some p)
+              in
+              (match valid with
+              | Ok () -> ()
+              | Error e -> Alcotest.failf "%s: invalid output: %s" case.Grover_suite.Kit.id e);
+              let r = Option.get sim in
+              String.concat "\t"
+                [ case.Grover_suite.Kit.id;
+                  H.version_name v;
+                  p.P.name;
+                  hex r.Sim.cycles;
+                  String.concat "," (Array.to_list (Array.map hex r.Sim.per_queue));
+                  hex r.Sim.r_compute;
+                  hex r.Sim.r_memory;
+                  hex r.Sim.r_barrier;
+                  hex r.Sim.r_spm;
+                  string_of_int r.Sim.r_groups ])
+            P.all)
+        [ H.With_lm; H.Without_lm ])
+    Grover_suite.Suite.all
+
+let test_golden_results () =
+  let expected =
+    In_channel.with_open_text "memsim_golden.tsv" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let actual = golden_rows () in
+  if actual <> expected then begin
+    Out_channel.with_open_text "memsim_golden.actual" (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) actual);
+    let rec first_diff = function
+      | e :: es, a :: as_ -> if e = a then first_diff (es, as_) else (e, a)
+      | e :: _, [] -> (e, "<missing>")
+      | [], a :: _ -> ("<missing>", a)
+      | [], [] -> ("", "")
+    in
+    let e, a = first_diff (expected, actual) in
+    Alcotest.failf
+      "simulator results moved (fresh table in memsim_golden.actual)\n\
+       expected: %s\n\
+       actual:   %s"
+      e a
+  end
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let suite =
@@ -213,7 +382,7 @@ let suite =
         Alcotest.test_case "set conflict thrash" `Quick test_cache_set_conflict_thrash;
         Alcotest.test_case "writeback" `Quick test_cache_writeback;
         Alcotest.test_case "reset" `Quick test_cache_reset ] );
-    qsuite "cache-props" [ prop_cache_miss_bound ];
+    qsuite "cache-props" [ prop_cache_miss_bound; prop_cache_matches_reference ];
     ( "gpu-model",
       [ Alcotest.test_case "coalescing" `Quick test_gpu_coalesced_vs_strided;
         Alcotest.test_case "broadcast" `Quick test_gpu_broadcast_single_transaction;
@@ -221,7 +390,13 @@ let suite =
         Alcotest.test_case "SPM broadcast" `Quick test_gpu_spm_broadcast ] );
     ( "cpu-model",
       [ Alcotest.test_case "SIMD coalescing" `Quick test_cpu_simd_coalescing ] );
+    ( "simulator",
+      [ Alcotest.test_case "consume allocates nothing" `Quick test_consume_allocation_free;
+        Alcotest.test_case "out-of-range work-item" `Quick test_rejects_out_of_range_wi;
+        Alcotest.test_case "non-power-of-two unit" `Quick test_rejects_non_pow2_unit ] );
     ( "platforms",
       [ Alcotest.test_case "lookup" `Quick test_platform_lookup;
         Alcotest.test_case "structure" `Quick test_platform_structure;
-        Alcotest.test_case "queue accumulation" `Quick test_simulate_accumulates_queues ] ) ]
+        Alcotest.test_case "queue accumulation" `Quick test_simulate_accumulates_queues ] );
+    ( "golden",
+      [ Alcotest.test_case "suite results at scale 4" `Quick test_golden_results ] ) ]
